@@ -83,7 +83,7 @@ func run(args []string) error {
 	threshold := fs.Int("threshold", 7, "confidence threshold for self-learning")
 	retrievalWorkers := fs.Int("retrieval-workers", 0, "concurrent web requests per self-learning round (0 = min(GOMAXPROCS, 8), 1 = sequential)")
 	model := fs.String("model", "", "LLM backend: sim, ensemble, remote (empty = sim)")
-	showTrace := fs.Bool("trace", false, "print the agent trace afterwards")
+	showTrace := fs.Bool("trace", false, "print the session's retained events afterwards")
 	if err := fs.Parse(args[1:]); err != nil {
 		return usageError{err.Error()}
 	}
@@ -114,7 +114,14 @@ func run(args []string) error {
 	}
 	if *showTrace {
 		fmt.Println("\n--- trace ---")
-		fmt.Print(sess.TraceString())
+		evs, _, _ := sess.Events(0)
+		indent := strings.Repeat(" ", 17) // aligns continuation lines under the event text
+		for _, e := range evs {
+			fmt.Printf("%4d %-11s %s\n", e.ID, e.Type, strings.ReplaceAll(e.Describe(), "\n", "\n"+indent))
+			for _, src := range e.Sources {
+				fmt.Printf("%ssource: %s\n", indent, src)
+			}
+		}
 	}
 	return nil
 }

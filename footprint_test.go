@@ -159,7 +159,7 @@ func TestFootprintReport(t *testing.T) {
 	v1 := session.Snapshot{
 		ID: snap.ID, Config: snap.Config, Trained: snap.Trained,
 		Created: snap.Created, Saved: snap.Saved,
-		Memory: sessItems.All(), Trace: snap.Trace,
+		Memory: sessItems.All(), Events: snap.Events,
 	}
 	v1Data, err := json.Marshal(v1)
 	if err != nil {

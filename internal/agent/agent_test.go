@@ -8,12 +8,20 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/llm"
 	"repro/internal/memory"
+	"repro/internal/stream"
 	"repro/internal/websim"
 	"repro/internal/world"
 )
 
 const cableQuestion = "Which is more vulnerable to solar activity? The fiber optic cable that connects Brazil to Europe or the one that connects the US to Europe?"
 const dcQuestion = "Whose datacenter is more vulnerable? Google's data centers or Facebook's data centers?"
+
+// observe attaches an Observer to a that records every event it emits.
+func observe(a *Agent) *[]stream.Event {
+	evs := &[]stream.Event{}
+	a.Observer = func(e stream.Event) { *evs = append(*evs, e) }
+	return evs
+}
 
 // newBob builds and trains agent Bob against the default simulated web.
 func newBob(t *testing.T, opts websim.Options, cfg Config) *Agent {
@@ -211,13 +219,33 @@ func TestSelfLearnSkipsGatedSources(t *testing.T) {
 
 func TestAgentTraceAudit(t *testing.T) {
 	bob := newBob(t, websim.Options{}, Config{})
+	evs := observe(bob)
 	if _, err := bob.Investigate(context.Background(), cableQuestion); err != nil {
 		t.Fatal(err)
 	}
-	tr := bob.Trace.String()
-	for _, want := range []string{"round 0", "self-learn", "memorized"} {
-		if !strings.Contains(tr, want) {
-			t.Errorf("trace missing %q:\n%s", want, tr)
+	// The audit trail: every round's confidence, and every learn pass
+	// naming the URLs it memorized, each of which is a memory source.
+	var rounds, sources int
+	for _, e := range *evs {
+		switch e.Type {
+		case stream.EventRound:
+			rounds++
+		case stream.EventLearn:
+			if len(e.Sources) != e.NewItems {
+				t.Errorf("learn round %d: %d sources for %d new items", e.Round, len(e.Sources), e.NewItems)
+			}
+			for _, src := range e.Sources {
+				sources++
+				if !bob.SawSource(src) {
+					t.Errorf("learn source %s is not in memory", src)
+				}
+			}
 		}
+	}
+	if rounds == 0 || (*evs)[0].Type != stream.EventRound || (*evs)[0].Round != 0 {
+		t.Errorf("no round 0 event first: %+v", *evs)
+	}
+	if sources == 0 {
+		t.Errorf("no learn event named a memorized source: %+v", *evs)
 	}
 }

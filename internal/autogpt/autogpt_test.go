@@ -10,7 +10,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/memory"
 	"repro/internal/prompt"
-	"repro/internal/trace"
+	"repro/internal/stream"
 	"repro/internal/websim"
 	"repro/internal/world"
 )
@@ -22,7 +22,6 @@ func newRunner(t *testing.T, cfg Config) (*Runner, *websim.Engine) {
 		Model:  llm.NewSim(),
 		Web:    eng,
 		Memory: memory.NewStore(memory.DefaultWeights),
-		Trace:  trace.New(),
 		Config: cfg,
 	}, eng
 }
@@ -31,6 +30,8 @@ const solarGoal = "Understand solar superstorms and Coronal Mass Ejection, and p
 
 func TestRunGoalCompletes(t *testing.T) {
 	r, eng := newRunner(t, Config{})
+	var evs []stream.Event
+	r.Observer = func(e stream.Event) { evs = append(evs, e) }
 	report, err := r.RunGoal(context.Background(), "Agent Bob, an Internet researcher", solarGoal)
 	if err != nil {
 		t.Fatal(err)
@@ -53,10 +54,19 @@ func TestRunGoalCompletes(t *testing.T) {
 	if eng.Stats().Queries == 0 {
 		t.Error("engine saw no queries")
 	}
-	// The trace must show the full cycle.
-	for _, kind := range []trace.Kind{trace.KindModelCall, trace.KindCommand, trace.KindSearch, trace.KindFetch, trace.KindMemoryAdd} {
-		if r.Trace.CountKind(kind) == 0 {
-			t.Errorf("trace missing %s events", kind)
+	// The observed events must show the full cycle: the goal, each
+	// step's thoughts and command, and the search and fetch results.
+	kinds := map[string]int{}
+	for _, e := range evs {
+		kind := e.Type
+		if e.Type == stream.EventObservation {
+			kind = strings.Fields(e.Text)[1] // "ran <command> ..."
+		}
+		kinds[kind]++
+	}
+	for _, kind := range []string{stream.EventGoal, stream.EventThoughts, stream.EventCommand, "google", "browse_website"} {
+		if kinds[kind] == 0 {
+			t.Errorf("no %s events observed", kind)
 		}
 	}
 }

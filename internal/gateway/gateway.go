@@ -416,7 +416,10 @@ func copyPooled(dst io.Writer, src io.Reader) {
 // event reaches the client as the backend emits it instead of sitting
 // in the gateway's write buffer until the stream ends.
 func streamSSE(w http.ResponseWriter, src io.Reader) {
-	f, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
+	// Send the headers now: a subscriber to an idle session must see its
+	// 200 at once, not with the first event or heartbeat.
+	rc.Flush()
 	bp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bp)
 	buf := *bp
@@ -426,9 +429,7 @@ func streamSSE(w http.ResponseWriter, src io.Reader) {
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				return
 			}
-			if f != nil {
-				f.Flush()
-			}
+			rc.Flush()
 		}
 		if err != nil {
 			return
@@ -601,11 +602,15 @@ func (g *Gateway) eachNode(fn func(*node)) {
 	wg.Wait()
 }
 
-// get issues a GET to one backend with the inbound request's context.
+// get issues a GET to one backend with the inbound request's context
+// and request ID.
 func (g *Gateway) get(r *http.Request, n *node, pathAndQuery string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, "http://"+n.addr+pathAndQuery, nil)
 	if err != nil {
 		return nil, err
+	}
+	if id := r.Header.Get("X-Request-ID"); id != "" {
+		req.Header.Set("X-Request-ID", id)
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {

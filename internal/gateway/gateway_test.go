@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -217,9 +218,10 @@ func TestGatewayRoutingAndFanout(t *testing.T) {
 }
 
 // TestGatewaySSEFlush is the streaming regression: a subscriber behind
-// the gateway must see the first `round` event while the investigation
-// is still running — i.e. the gateway flushes per event instead of
-// buffering the stream until the backend finishes.
+// a two-backend gateway must get the stream's headers at once, while the
+// session is still idle, and then see the first `round` event while the
+// investigation is still running — i.e. the gateway flushes the headers
+// and every event instead of buffering them until the next read.
 func TestGatewaySSEFlush(t *testing.T) {
 	// Simulated per-request web latency stretches each self-learning
 	// round to hundreds of milliseconds; without it the whole sim
@@ -227,8 +229,9 @@ func TestGatewaySSEFlush(t *testing.T) {
 	// before completion" is an unwinnable race, not a flush check.
 	var cfg session.ManagerConfig
 	cfg.Defaults.WebOptions.Latency = 150 * time.Millisecond
-	addr, _ := newBackendCfg(t, cfg)
-	srv, _ := newGateway(t, addr)
+	addrA, _ := newBackendCfg(t, cfg)
+	addrB, _ := newBackendCfg(t, cfg)
+	srv, _ := newGateway(t, addrA, addrB)
 
 	// An unreachable confidence threshold forces every round, so real
 	// work always remains after the first round event.
@@ -238,13 +241,17 @@ func TestGatewaySSEFlush(t *testing.T) {
 		t.Fatalf("create: %d %s", code, body)
 	}
 
+	t0 := time.Now()
 	resp, err := http.Get(srv.URL + "/v1/sessions/sse/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
-		t.Fatalf("events content type %q", ct)
+	if d := time.Since(t0); d > time.Second {
+		t.Fatalf("idle event stream sent its headers after %v, want within 1s", d)
+	}
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || !strings.HasPrefix(ct, "text/event-stream") {
+		t.Fatalf("events: %d %q", resp.StatusCode, ct)
 	}
 
 	done := make(chan struct{})
@@ -290,6 +297,44 @@ scan:
 	<-done
 	if !sawRoundEarly {
 		t.Fatal("no round event arrived before the investigation completed — SSE is buffering at the gateway")
+	}
+}
+
+// TestGatewayFanoutForwardsRequestID: the fan-out routes carry the
+// client's X-Request-ID to every backend, as routed requests do.
+func TestGatewayFanoutForwardsRequestID(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string]int{} // path -> backends that saw the ID
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		m := session.NewManager(session.ManagerConfig{})
+		t.Cleanup(m.Shutdown)
+		h := session.Handler(m)
+		backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			if r.Header.Get("X-Request-ID") == "req-42" {
+				seen[r.URL.Path]++
+			}
+			mu.Unlock()
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(backend.Close)
+		addrs = append(addrs, strings.TrimPrefix(backend.URL, "http://"))
+	}
+	srv, _ := newGateway(t, addrs...)
+	for _, path := range []string{"/v1/stats", "/v1/metrics", "/v1/sessions"} {
+		req, _ := http.NewRequest("GET", srv.URL+path, nil)
+		req.Header.Set("X-Request-ID", "req-42")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		mu.Lock()
+		if seen[path] != 2 {
+			t.Errorf("%s fan-out: %d of 2 backends saw X-Request-ID", path, seen[path])
+		}
+		mu.Unlock()
 	}
 }
 

@@ -307,7 +307,7 @@ func (st *Store) closeLocked(inc *Incident, out Outcome) {
 // incident record as it happens.
 func (st *Store) Observer(id string) stream.Observer {
 	return func(e stream.Event) {
-		st.AppendEvent(id, e.Type, describe(e))
+		st.AppendEvent(id, e.Type, e.Describe())
 	}
 }
 
@@ -330,34 +330,6 @@ func (st *Store) appendEventLocked(inc *Incident, kind, text string) {
 		Kind: kind,
 		Text: text,
 	})
-}
-
-// describe renders a bridged stream event as one event-log line.
-func describe(e stream.Event) string {
-	switch e.Type {
-	case stream.EventOp, stream.EventDone:
-		return e.Text
-	case stream.EventGoal:
-		return e.Goal
-	case stream.EventThoughts, stream.EventPartial:
-		return e.Text
-	case stream.EventCommand:
-		if e.Arg != "" {
-			return e.Command + " " + e.Arg
-		}
-		return e.Command
-	case stream.EventObservation:
-		return e.Text
-	case stream.EventRound:
-		return fmt.Sprintf("round %d: confidence %d, verdict %s", e.Round, e.Confidence, e.Verdict)
-	case stream.EventLearn:
-		return fmt.Sprintf("round %d: %d queries, %d new items", e.Round, len(e.Queries), e.NewItems)
-	case stream.EventAnswer:
-		return fmt.Sprintf("confidence %d: %s", e.Confidence, e.Text)
-	case stream.EventError:
-		return e.Err
-	}
-	return e.Text
 }
 
 // Stats returns the queue gauges and lifecycle totals.

@@ -1,9 +1,9 @@
 // Package report renders an agent investigation into the written report
 // a human researcher would produce: the question, the conclusion with
-// its confidence, the self-learning history, the supporting evidence
-// with sources, and the audit trail. This is the artifact the paper's
-// "interactive research agent" ultimately exists to deliver — an
-// investigation another researcher can check.
+// its confidence, the self-learning history and the supporting evidence
+// with sources. This is the artifact the paper's "interactive research
+// agent" ultimately exists to deliver — an investigation another
+// researcher can check.
 package report
 
 import (
@@ -19,15 +19,14 @@ import (
 
 // Report is a structured investigation report.
 type Report struct {
-	Agent       string
-	Role        string
-	Question    string
-	Conclusion  string
-	Confidence  int
-	Rounds      []agent.Round
-	Saturated   bool
-	Evidence    []EvidenceItem
-	TraceEvents int
+	Agent      string
+	Role       string
+	Question   string
+	Conclusion string
+	Confidence int
+	Rounds     []agent.Round
+	Saturated  bool
+	Evidence   []EvidenceItem
 }
 
 // EvidenceItem is one supporting fact with its provenance.
@@ -42,14 +41,13 @@ type EvidenceItem struct {
 // it.
 func Build(a *agent.Agent, inv agent.Investigation) Report {
 	r := Report{
-		Agent:       a.Role.Name,
-		Role:        a.Role.Description,
-		Question:    inv.Question,
-		Conclusion:  inv.Final.Text,
-		Confidence:  inv.Final.Confidence,
-		Rounds:      inv.Rounds,
-		Saturated:   inv.Saturated,
-		TraceEvents: a.Trace.Len(),
+		Agent:      a.Role.Name,
+		Role:       a.Role.Description,
+		Question:   inv.Question,
+		Conclusion: inv.Final.Text,
+		Confidence: inv.Final.Confidence,
+		Rounds:     inv.Rounds,
+		Saturated:  inv.Saturated,
 	}
 	r.Evidence = collectEvidence(a.Memory, inv.Question, 16)
 	return r
@@ -116,7 +114,6 @@ func (r Report) WriteMarkdown(w io.Writer) error {
 			fmt.Fprintf(&b, "  - source: %s\n", src)
 		}
 	}
-	fmt.Fprintf(&b, "\n---\n%d trace events recorded for audit.\n", r.TraceEvents)
 	_, err := io.WriteString(w, b.String())
 	return err
 }

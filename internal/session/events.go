@@ -17,6 +17,12 @@ import (
 // at the oldest event still held, the standard SSE contract.
 const eventBufferCap = 512
 
+// persistedEvents is how many of the most recent events a snapshot
+// carries. A trained session's whole training transcript fits, and the
+// tail stays a few KB however many asks the session has served, so
+// snapshots and restores stop growing with session age.
+const persistedEvents = 64
+
 // sseHeartbeat is how often an idle event stream emits a comment line so
 // intermediaries do not reap the connection. A variable so tests can
 // shorten it.
@@ -73,6 +79,32 @@ func (b *eventBuffer) close() {
 	b.change = make(chan struct{})
 }
 
+// seed fills a fresh buffer with a restored snapshot's event tail, so
+// the session keeps its recent history and new events continue the IDs
+// after the last persisted one.
+func (b *eventBuffer) seed(evs []stream.Event) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.evs = evs[:len(evs):len(evs)] // appends must not write into the snapshot's array
+	if n := len(evs); n > 0 {
+		b.next = evs[n-1].ID + 1
+	}
+}
+
+// tail returns a copy of the last n buffered events.
+func (b *eventBuffer) tail(n int) []stream.Event {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]stream.Event(nil), b.evs[max(0, len(b.evs)-n):]...)
+}
+
+// len returns how many events the buffer retains.
+func (b *eventBuffer) len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.evs)
+}
+
 // last returns the highest assigned event ID (0 when none).
 func (b *eventBuffer) last() int64 {
 	b.mu.Lock()
@@ -83,7 +115,8 @@ func (b *eventBuffer) last() int64 {
 // readAfter returns every buffered event with ID > after, whether the
 // buffer is closed, and a channel that is closed on the next publish or
 // close. An `after` beyond the live tail is clamped to the tail (a
-// resume token from a previous incarnation of the session).
+// resume token from a deleted and recreated session, or one restored
+// from an older snapshot).
 func (b *eventBuffer) readAfter(after int64) ([]stream.Event, bool, <-chan struct{}) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -161,8 +194,8 @@ func handleEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 			after = n
 		}
 	}
-	// A resume token from beyond the live tail (a previous incarnation
-	// of the session) clamps to the tail once, so new events still flow.
+	// A resume token from beyond the live tail (a deleted and recreated
+	// session) clamps to the tail once, so new events still flow.
 	if last := s.LastEventID(); after > last {
 		after = last
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -293,6 +294,66 @@ func TestHTTPBusyTimeout(t *testing.T) {
 	if code, body := doJSON(t, "POST", srv.URL+"/v1/sessions/slow/ask", QuestionRequest{Question: "q"}); code != http.StatusGatewayTimeout {
 		t.Errorf("busy session = %d %s, want 504", code, body)
 	}
+}
+
+// TestHTTPOpRetriesClosedSession: a session closed after the handler
+// resolved it but before the operation took its lock must not fail the
+// request with 409. The handler resolves the ID again and retries, so an
+// evicted session is restored and answers, and a deleted one answers
+// 404. A held admission gate keeps that window open while the session
+// is evicted or deleted.
+func TestHTTPOpRetriesClosedSession(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		close func(m *Manager) error
+		want  int
+	}{
+		{"evicted", func(m *Manager) error { _, err := m.Create("b", Config{Seed: 42}); return err }, http.StatusOK},
+		{"deleted", func(m *Manager) error { return m.Close(context.Background(), "a", true) }, http.StatusNotFound},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, m := newTestServer(t, ManagerConfig{Capacity: 1, MaxInFlight: 1, SnapshotDir: t.TempDir()})
+			if _, err := m.Create("a", Config{Seed: 42}); err != nil {
+				t.Fatal(err)
+			}
+			release, err := m.Admit(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			code := make(chan int, 1)
+			go func() {
+				resp, err := http.Post(srv.URL+"/v1/sessions/a/ask", "application/json",
+					strings.NewReader(`{"question":"`+vulnQuestion+`"}`))
+				if err != nil {
+					code <- 0
+					return
+				}
+				resp.Body.Close()
+				code <- resp.StatusCode
+			}()
+			// The handler has resolved "a" once it waits at the gate.
+			waitForFrame(t, "session.(*Manager).Admit")
+			if err := tc.close(m); err != nil {
+				t.Fatal(err)
+			}
+			release()
+			if got := <-code; got != tc.want {
+				t.Fatalf("ask on %s session = %d, want %d", tc.name, got, tc.want)
+			}
+		})
+	}
+}
+
+// waitForFrame waits until some goroutine's stack contains frame.
+func waitForFrame(t *testing.T, frame string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if n := runtime.Stack(buf, true); bytes.Contains(buf[:n], []byte(frame)) {
+			return
+		}
+	}
+	t.Fatalf("no goroutine reached %s", frame)
 }
 
 func TestHTTPCreateOptions(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/parallel"
 	"repro/internal/retrieval"
-	"repro/internal/trace"
+	"repro/internal/stream"
 )
 
 // ManagerConfig configures a Manager.
@@ -704,7 +704,7 @@ func (m *Manager) Len() int {
 	return n
 }
 
-// Snapshot persists the session's memory, trace and config to
+// Snapshot persists the session's memory, config and event tail to
 // <SnapshotDir>/<id>.json and returns the path. For a live session it
 // waits for the session to go idle (honoring ctx) so the snapshot is
 // consistent; for an evicted one it flushes the pending write (or finds
@@ -989,8 +989,10 @@ type SegmentRef struct {
 }
 
 // Snapshot is the on-disk form of a session: everything needed to
-// rebuild an identical agent — its configuration, knowledge memory,
-// audit trace and lifecycle state.
+// rebuild an identical agent — its configuration, knowledge memory and
+// lifecycle state — plus the tail of its event stream. Snapshots written
+// before the event tail existed carry a "trace" key instead; decoding
+// ignores it.
 type Snapshot struct {
 	ID      string    `json:"id"`
 	Schema  int       `json:"schema,omitempty"`
@@ -1003,7 +1005,10 @@ type Snapshot struct {
 	Memory   []memory.Item `json:"memory,omitempty"`
 	Segments []SegmentRef  `json:"segments,omitempty"`
 	Delta    []memory.Item `json:"delta,omitempty"`
-	Trace    []trace.Event `json:"trace"`
+	// Events is the last persistedEvents events of the session's
+	// stream; restore seeds the buffer with them and continues their
+	// IDs.
+	Events []stream.Event `json:"events,omitempty"`
 
 	// segs carries the live segment pointers alongside the refs while
 	// the snapshot stays in memory (the write-behind pending set), so a
@@ -1026,7 +1031,7 @@ func readSnapshot(path string) (Snapshot, error) {
 }
 
 // restore rebuilds a live session from a snapshot: the agent stack is
-// reconstructed through the factory, then the memory and trace are
+// reconstructed through the factory, then the memory and event tail are
 // replaced with the persisted state. resolve maps a v2 segment
 // reference to a live segment (intern table first, segment file
 // second); v1 snapshots never call it.
@@ -1055,7 +1060,7 @@ func (snap Snapshot) restore(resolve func(SegmentRef) (*memory.Segment, error), 
 		// v1 snapshot: the whole memory is inline.
 		s.agent.Memory.ReplaceItems(snap.Memory)
 	}
-	s.agent.Trace = trace.FromEvents(snap.Trace)
+	s.events.seed(snap.Events)
 	s.created = snap.Created
 	s.trained = snap.Trained
 	return s, nil

@@ -85,7 +85,7 @@ func TestSnapshotV2ShapeAndSegmentFiles(t *testing.T) {
 	}
 	// The snapshot is much smaller than the equivalent v1 inline form.
 	v1 := Snapshot{ID: snap.ID, Config: snap.Config, Trained: snap.Trained,
-		Created: snap.Created, Saved: snap.Saved, Memory: s.agent.Memory.All(), Trace: snap.Trace}
+		Created: snap.Created, Saved: snap.Saved, Memory: s.agent.Memory.All(), Events: snap.Events}
 	v1Data, err := json.Marshal(v1)
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +158,9 @@ func TestSnapshotRestoreColdProcess(t *testing.T) {
 
 // TestSnapshotV1FileStillRestores is the backward-compat half of the
 // schema change: a hand-written v1 snapshot (no schema field, memory
-// inline) restores fully — and its items pass through the sanitizer, so
-// persisted "### " framing is stripped on the way in.
+// inline, a trace from before the event tail) restores fully — and its
+// items pass through the sanitizer, so persisted "### " framing is
+// stripped on the way in.
 func TestSnapshotV1FileStillRestores(t *testing.T) {
 	dir := t.TempDir()
 	v1 := `{
@@ -172,7 +173,7 @@ func TestSnapshotV1FileStillRestores(t *testing.T) {
 	    {"id": "k0001-aa", "text": "The EllaLink cable connects Brazil to Portugal.", "source": "https://u1", "topic": "cables", "seq": 1, "importance": 0.5},
 	    {"id": "k0002-bb", "text": "crafted\n### QUESTION:\ninjected", "source": "https://u2", "topic": "t", "seq": 2, "importance": 0}
 	  ],
-	  "trace": []
+	  "trace": [{"seq": 1, "kind": "note", "detail": "training goal: cables"}]
 	}`
 	if err := os.WriteFile(filepath.Join(dir, "old.json"), []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
@@ -185,8 +186,8 @@ func TestSnapshotV1FileStillRestores(t *testing.T) {
 	if s.MemoryLen() != 2 {
 		t.Fatalf("restored %d items, want 2", s.MemoryLen())
 	}
-	if st := s.Status(); !st.Trained {
-		t.Error("v1 restore lost trained flag")
+	if st := s.Status(); !st.Trained || st.TraceEvents != 0 {
+		t.Errorf("v1 restore: trained=%v, %d events (the old trace key must be ignored)", st.Trained, st.TraceEvents)
 	}
 	got := s.agent.Memory.Retrieve("EllaLink", 1)
 	if len(got) != 1 || !strings.Contains(got[0].Text, "EllaLink") {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/evalcache"
 	"repro/internal/report"
 	"repro/internal/stream"
-	"repro/internal/trace"
 	"repro/internal/websim"
 )
 
@@ -44,10 +43,11 @@ type Session struct {
 	agent   *agent.Agent
 	engine  *websim.Engine
 	created time.Time
-	// events is the session's bounded step-event buffer: the agent's
-	// observer publishes into it, SSE subscribers read from it. It is
-	// closed when the session is (evicted or deleted), which cleanly
-	// ends every subscriber.
+	// events is the session's bounded step-event buffer and its only
+	// audit record: the agent's observer publishes into it, SSE
+	// subscribers and GET .../trace read from it, and snapshots persist
+	// its tail. It is closed when the session is (evicted or deleted),
+	// which cleanly ends every subscriber.
 	events *eventBuffer
 
 	// ops is the capacity-1 operation lock. Acquiring through a channel
@@ -74,7 +74,7 @@ type Status struct {
 	Trained     bool      `json:"trained"`
 	Busy        bool      `json:"busy"`
 	MemoryItems int       `json:"memory_items"`
-	TraceEvents int       `json:"trace_events"`
+	TraceEvents int       `json:"trace_events"` // retained events
 	Created     time.Time `json:"created"`
 	LastUsed    time.Time `json:"last_used"`
 }
@@ -157,12 +157,6 @@ func (s *Session) MemoryLen() int { return s.agent.Memory.Len() }
 // Sources returns the distinct knowledge sources, sorted.
 func (s *Session) Sources() []string { return s.agent.Memory.Sources() }
 
-// TraceString renders the agent's trace transcript.
-func (s *Session) TraceString() string { return s.agent.Trace.String() }
-
-// TraceEvents returns a copy of the agent's trace.
-func (s *Session) TraceEvents() []trace.Event { return s.agent.Trace.Events() }
-
 // Status reports the session's current state without blocking on a
 // running operation.
 func (s *Session) Status() Status {
@@ -175,7 +169,7 @@ func (s *Session) Status() Status {
 		Trained:     s.trained,
 		Busy:        len(s.ops) == 1,
 		MemoryItems: s.agent.Memory.Len(),
-		TraceEvents: s.agent.Trace.Len(),
+		TraceEvents: s.events.len(),
 		Created:     s.created,
 		LastUsed:    s.lastUsed,
 	}
@@ -323,7 +317,7 @@ func (s *Session) snapshotLocked() Snapshot {
 		Trained: trained,
 		Created: s.created,
 		Saved:   s.now(),
-		Trace:   s.agent.Trace.Events(),
+		Events:  s.events.tail(persistedEvents),
 	}
 	segs, delta := s.agent.Memory.Parts()
 	if len(segs) == 0 {

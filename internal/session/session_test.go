@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/stream"
 )
 
 // vulnQuestion is a question the trained simulated agent answers with
@@ -36,7 +38,7 @@ func TestFactoryDefaultsToBob(t *testing.T) {
 	if eng == nil || a.Web == nil {
 		t.Fatal("factory returned nil web")
 	}
-	if a.Memory == nil || a.Trace == nil {
+	if a.Memory == nil {
 		t.Fatal("factory returned incomplete agent")
 	}
 }
@@ -151,8 +153,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if len(s.Sources()) == 0 {
 		t.Error("no sources after training")
 	}
-	if s.TraceString() == "" || len(s.TraceEvents()) == 0 {
-		t.Error("trace empty after lifecycle")
+	if evs, _, _ := s.Events(0); len(evs) == 0 {
+		t.Error("no events retained after lifecycle")
 	}
 }
 
@@ -209,8 +211,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if restored.MemoryLen() != s.MemoryLen() {
 		t.Errorf("restored memory %d, want %d", restored.MemoryLen(), s.MemoryLen())
 	}
-	if len(restored.TraceEvents()) != len(s.TraceEvents()) {
-		t.Errorf("restored trace %d events, want %d", len(restored.TraceEvents()), len(s.TraceEvents()))
+	if got, want := restored.events.tail(persistedEvents), s.events.tail(persistedEvents); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored %d events, want the persisted tail of %d", len(got), len(want))
 	}
 	if st := restored.Status(); !st.Trained {
 		t.Error("restored session lost trained state")
@@ -221,6 +223,98 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("restored answer differs:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// TestSnapshotSizeBoundedByEventTail: a snapshot carries only the last
+// persistedEvents events, so after training its size stops growing with
+// the number of asks the session has served.
+func TestSnapshotSizeBoundedByEventTail(t *testing.T) {
+	ctx := context.Background()
+	m := newTestManager(t, ManagerConfig{SnapshotDir: t.TempDir()})
+	s, err := m.Create("busy", Config{Seed: 42})
+	if err == nil {
+		_, err = s.Train(ctx)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() (int, Snapshot) {
+		var snap Snapshot
+		path, err := m.Snapshot(ctx, "busy")
+		data, _ := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &snap)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(data), snap
+	}
+	trained, _ := snapshot()
+	for i := 0; i < 2000; i++ {
+		if _, err := s.Ask(ctx, vulnQuestion); err != nil {
+			t.Fatal(err)
+		}
+	}
+	asked, snap := snapshot()
+	tail, _ := json.Marshal(snap.Events)
+	if len(snap.Events) != persistedEvents || asked > trained+len(tail) {
+		t.Errorf("after 2000 asks the snapshot is %d bytes with %d events; want %d events and at most %d bytes after training plus the %d-byte tail",
+			asked, len(snap.Events), persistedEvents, trained, len(tail))
+	}
+}
+
+// TestEvictedSessionKeepsEventTail: eviction persists the session's last
+// persistedEvents events; the restored session serves them and continues
+// their IDs, so a resume token from before the eviction still resumes.
+func TestEvictedSessionKeepsEventTail(t *testing.T) {
+	ctx := context.Background()
+	m := newTestManager(t, ManagerConfig{Capacity: 1, SnapshotDir: t.TempDir()})
+	s, err := m.Create("a", Config{Seed: 42})
+	if err == nil {
+		_, err = s.Train(ctx)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := s.Ask(ctx, vulnQuestion); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.events.tail(persistedEvents)
+	last := s.LastEventID()
+	if last <= persistedEvents {
+		t.Fatalf("only %d events; the test needs more than %d", last, persistedEvents)
+	}
+	_, err = m.Create("b", Config{Seed: 42}) // evicts "a"
+	m.Flush()                                // so the restore reads the tail back from disk
+	r, err2 := m.Get("a")
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
+	}
+	if r == s || m.Stats().DiskRestores != 1 {
+		t.Fatalf("session was not restored from disk (disk restores %d)", m.Stats().DiskRestores)
+	}
+	if got, _, _ := r.Events(0); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored %d events, want the last %d before eviction", len(got), len(want))
+	}
+	if got := r.LastEventID(); got != last {
+		t.Errorf("restored last event ID %d, want %d", got, last)
+	}
+	if evs, _, _ := r.Events(last - 2); len(evs) != 2 || evs[0].ID != last-1 {
+		t.Errorf("resume from %d before eviction returned %d events, want IDs %d and %d", last-2, len(evs), last-1, last)
+	}
+	if _, err := r.Ask(ctx, vulnQuestion); err != nil {
+		t.Fatal(err)
+	}
+	evs, _, _ := r.Events(last)
+	if len(evs) != 2 || evs[0].ID != last+1 || evs[0].Type != stream.EventOp || evs[1].Type != stream.EventAnswer {
+		t.Errorf("after restore, %d events follow ID %d, want the ask's op and answer as IDs %d and %d", len(evs), last, last+1, last+2)
+	}
+	if st := r.Status(); st.TraceEvents != persistedEvents+2 {
+		t.Errorf("status counts %d retained events, want %d", st.TraceEvents, persistedEvents+2)
 	}
 }
 

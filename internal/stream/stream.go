@@ -16,6 +16,8 @@
 // what keeps the simulated path byte-identical with streaming on or off.
 package stream
 
+import "fmt"
+
 // Event types. A Terminal event ends the operation the stream is
 // following; everything else is an intermediate step.
 const (
@@ -35,8 +37,9 @@ const (
 	EventRound = "round"
 	// EventPartial carries the round's (not yet final) answer text.
 	EventPartial = "partial"
-	// EventLearn reports one self-learning pass: the proposed queries
-	// and how many new knowledge items they yielded.
+	// EventLearn reports one self-learning pass: the proposed queries,
+	// how many new knowledge items they yielded and the URLs those items
+	// were memorized from.
 	EventLearn = "learn"
 	// EventAnswer is the final answer of an ask/investigate/report
 	// operation. Terminal.
@@ -72,10 +75,37 @@ type Event struct {
 	Verdict    string   `json:"verdict,omitempty"`
 	Queries    []string `json:"queries,omitempty"`
 	NewItems   int      `json:"new_items,omitempty"`
-	Err        string   `json:"error,omitempty"`
+	// Sources lists the URLs a learn event's pass memorized, in commit
+	// order — the provenance an auditor checks an answer against.
+	Sources []string `json:"sources,omitempty"`
+	Err     string   `json:"error,omitempty"`
 	// Terminal marks the event that ends the operation this stream is
 	// following; the SSE layer closes the response after sending it.
 	Terminal bool `json:"terminal,omitempty"`
+}
+
+// Describe renders the event as one human-readable line: the incident
+// event log stores it, and cmd/bob prints it for -trace. It never reads
+// Sources, so a learn event renders the same with or without them.
+func (e Event) Describe() string {
+	switch e.Type {
+	case EventGoal:
+		return e.Goal
+	case EventCommand:
+		if e.Arg != "" {
+			return e.Command + " " + e.Arg
+		}
+		return e.Command
+	case EventRound:
+		return fmt.Sprintf("round %d: confidence %d, verdict %s", e.Round, e.Confidence, e.Verdict)
+	case EventLearn:
+		return fmt.Sprintf("round %d: %d queries, %d new items", e.Round, len(e.Queries), e.NewItems)
+	case EventAnswer:
+		return fmt.Sprintf("confidence %d: %s", e.Confidence, e.Text)
+	case EventError:
+		return e.Err
+	}
+	return e.Text
 }
 
 // Observer receives events as they happen. A nil Observer is valid and

@@ -15,6 +15,9 @@ fi
 
 go build ./...
 go vet ./...
+# The benchmark module builds the program through its replace directive
+# (offline), so a program API change that breaks it fails here.
+(cd perfbench && go vet ./...)
 go test -race ./...
 go test -run='^$' -bench=. -benchtime=1x .
 
@@ -39,8 +42,8 @@ go test -race -count=1 -run 'TestSealDelta|TestCloneShares|TestCloneVsAddRace|Te
 go test -race -count=1 -run 'TestSnapshotV2|TestSnapshotRestoreColdProcess|TestSnapshotV1FileStillRestores|TestUntrainedSnapshotStaysV1|TestStatsReportSegments' ./internal/session
 go test -count=1 -run 'TestFootprintReport' .
 
-# The retrieval pipeline: byte-identity of memory/trace/investigation at
-# every fan-out width, the cancel-mid-fetch drain (exactly-once context
+# The retrieval pipeline: byte-identity of memory/events/investigation
+# at every fan-out width, the cancel-mid-fetch drain (exactly-once context
 # error, no goroutine leaks, zeroed in-flight gauges), and concurrent
 # fork Search/Fetch under the injected fake clock.
 go test -race -count=1 -run 'TestRetrievalPipelineByteIdentity|TestSelfLearnSkipsDuplicateURLs|TestSelfLearnCancelNoLeak' ./internal/agent
