@@ -57,7 +57,10 @@
 // unattended by a leader-follower processor pool. -incident-max-turns
 // bounds each leader's self-learning rounds before the group escalates.
 // When -snapshots is set, the queue persists to incidents.json in the
-// same directory and survives restarts.
+// same directory: an append-only journal (one JSON record per filing,
+// outcome or reopen), compacted on load. Acknowledged filings and
+// outcomes survive a crash, a torn last record is dropped, and
+// in-flight incidents reopen.
 //
 //	POST   /v1/incidents               file an incident
 //	GET    /v1/incidents               list incidents (paginated envelope)

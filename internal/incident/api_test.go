@@ -254,7 +254,7 @@ func TestAPIStatsBlock(t *testing.T) {
 	if err := json.Unmarshal(blockRaw, &keys); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"filed", "queue_depth", "claimed", "investigating", "resolved", "escalated", "leaders", "followers", "saved_rounds", "workers"} {
+	for _, k := range []string{"filed", "queue_depth", "claimed", "investigating", "resolved", "escalated", "persist_errors", "leaders", "followers", "saved_rounds", "workers"} {
 		if _, ok := keys[k]; !ok {
 			t.Errorf("incidents block missing %q: %s", k, blockRaw)
 		}

@@ -1,8 +1,10 @@
 package incident
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"sort"
 	"sync"
@@ -17,10 +19,13 @@ type StoreConfig struct {
 	// means time.Now; tests inject a fixed clock so a drained batch is
 	// byte-identical run to run.
 	Clock func() time.Time
-	// Path, when set, persists the queue: File and every terminal
-	// transition (and reopen) rewrite the file atomically, and Load
-	// restores it. Non-terminal statuses load back as open — a claim
-	// held by a dead process must not strand its incident.
+	// Path, when set, persists the queue as an append-only journal:
+	// File, every terminal transition and every reopen append one
+	// record holding the incident's full state, and Load replays the
+	// journal and compacts it to one record per incident. The crash
+	// contract: acknowledged filings and outcomes survive, a torn last
+	// record is dropped, and non-terminal incidents load back as open —
+	// a claim held by a dead process must not strand its incident.
 	Path string
 }
 
@@ -35,21 +40,25 @@ type Stats struct {
 	Resolved      int64 `json:"resolved"`
 	Escalated     int64 `json:"escalated"`
 	Reopened      int64 `json:"reopened"`
+	// PersistErrors counts journal appends that failed; each is logged,
+	// and the incident lives on in memory.
+	PersistErrors int64 `json:"persist_errors"`
 }
 
 // Store owns the incident table: filings, atomic lifecycle
 // transitions (compare-and-swap on status, so two concurrent
 // processors can never both claim one incident), the append-only
-// per-incident event logs, and optional snapshot persistence.
+// per-incident event logs, and optional journal persistence.
 type Store struct {
-	mu        sync.Mutex
-	cfg       StoreConfig
-	seq       int64
-	incidents map[string]*Incident
-	order     []string // ascending incident IDs, filing order
-	filed     int64
-	reopened  int64
-	onFile    func()
+	mu            sync.Mutex
+	cfg           StoreConfig
+	seq           int64
+	incidents     map[string]*Incident
+	order         []string // ascending incident IDs, filing order
+	filed         int64
+	reopened      int64
+	persistErrors int64
+	onFile        func()
 }
 
 // NewStore returns an empty store.
@@ -104,7 +113,7 @@ func (st *Store) File(f Filing) (Incident, error) {
 	st.incidents[inc.ID] = inc
 	st.order = append(st.order, inc.ID)
 	kick := st.onFile
-	st.persistLocked()
+	st.persistLocked(inc)
 	out := inc.copy()
 	st.mu.Unlock()
 	if kick != nil {
@@ -208,11 +217,12 @@ func (st *Store) Start(id, session, leader string) error {
 	return nil
 }
 
-// SetHint records the leader's resolution hint on a follower.
+// SetHint records the leader's resolution hint on a follower. Like
+// AppendEvent it leaves terminal incidents alone.
 func (st *Store) SetHint(id, hint string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if inc, ok := st.incidents[id]; ok {
+	if inc, ok := st.incidents[id]; ok && !inc.Status.Terminal() {
 		inc.Hint = hint
 		st.appendEventLocked(inc, EvHint, hint)
 	}
@@ -234,7 +244,7 @@ func (st *Store) Release(id string) {
 	inc.Leader = ""
 	st.reopened++
 	st.appendEventLocked(inc, EvReopened, "investigation interrupted; incident re-queued")
-	st.persistLocked()
+	st.persistLocked(inc)
 }
 
 // Close finishes an investigating incident with the processor's
@@ -298,7 +308,7 @@ func (st *Store) closeLocked(inc *Incident, out Outcome) {
 		kind, text = EvEscalated, out.Note
 	}
 	st.appendEventLocked(inc, kind, text)
-	st.persistLocked()
+	st.persistLocked(inc)
 }
 
 // Observer returns a stream.Observer that appends every session step
@@ -312,10 +322,12 @@ func (st *Store) Observer(id string) stream.Observer {
 }
 
 // AppendEvent appends one event to the incident's log. Unknown IDs are
-// ignored (the incident may have been superseded).
+// ignored (the incident may have been superseded), and so are terminal
+// incidents: a record is final once its outcome is journaled, so what
+// Get returns for it is exactly what survives a restart.
 func (st *Store) AppendEvent(id, kind, text string) {
 	st.mu.Lock()
-	if inc, ok := st.incidents[id]; ok {
+	if inc, ok := st.incidents[id]; ok && !inc.Status.Terminal() {
 		st.appendEventLocked(inc, kind, text)
 	}
 	st.mu.Unlock()
@@ -336,7 +348,7 @@ func (st *Store) appendEventLocked(inc *Incident, kind, text string) {
 func (st *Store) Stats() Stats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s := Stats{Filed: st.filed, Reopened: st.reopened}
+	s := Stats{Filed: st.filed, Reopened: st.reopened, PersistErrors: st.persistErrors}
 	for _, inc := range st.incidents {
 		switch inc.Status {
 		case StatusOpen:
@@ -354,42 +366,68 @@ func (st *Store) Stats() Stats {
 	return s
 }
 
-// storeSnapshot is the on-disk form of the queue.
-type storeSnapshot struct {
-	Seq       int64      `json:"seq"`
-	Filed     int64      `json:"filed"`
-	Reopened  int64      `json:"reopened"`
-	Incidents []Incident `json:"incidents"`
+// journalRecord is one line of the journal: an incident's full state at
+// a persist point, plus the store counters at that moment, so replay
+// restores the counters from the last record.
+type journalRecord struct {
+	Seq      int64     `json:"seq"`
+	Filed    int64     `json:"filed"`
+	Reopened int64     `json:"reopened"`
+	Incident *Incident `json:"incident,omitempty"`
+	// Incidents is read, never written: the legacy store file was one
+	// object of this shape holding the whole table.
+	Incidents []Incident `json:"incidents,omitempty"`
 }
 
-// persistLocked rewrites the snapshot file atomically (tmp + rename).
+// recordLocked encodes inc's journal record as one newline-terminated
+// line: the only on-disk write shape, for appends and compaction alike.
+func (st *Store) recordLocked(inc *Incident) ([]byte, error) {
+	line, err := json.Marshal(journalRecord{Seq: st.seq, Filed: st.filed, Reopened: st.reopened, Incident: inc})
+	return append(line, '\n'), err
+}
+
+// persistLocked appends inc's current state to the journal with one
+// write to a file opened O_APPEND, so a persist costs the incident's
+// size, not the store's, and a crash can tear only the last record.
 // Claims are deliberately not persisted on their own — a claim is
-// transient state that reverts to open on restart anyway.
-func (st *Store) persistLocked() {
+// transient state that reverts to open on restart anyway. A failure is
+// counted and logged; the in-memory store carries on.
+func (st *Store) persistLocked(inc *Incident) {
 	if st.cfg.Path == "" {
 		return
 	}
-	snap := storeSnapshot{Seq: st.seq, Filed: st.filed, Reopened: st.reopened}
-	snap.Incidents = make([]Incident, 0, len(st.order))
-	for _, id := range st.order {
-		snap.Incidents = append(snap.Incidents, st.incidents[id].copy())
+	line, err := st.recordLocked(inc)
+	if err == nil {
+		err = appendFile(st.cfg.Path, line)
 	}
-	data, err := json.Marshal(snap)
 	if err != nil {
-		return
+		st.persistErrors++
+		log.Printf("incident: persist %s: %v", inc.ID, err)
 	}
-	tmp := st.cfg.Path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, st.cfg.Path)
 }
 
-// Load restores the queue from the snapshot file. Incidents persisted
-// mid-flight (claimed/investigating — possible only if the process
-// died between a terminal write and its claim) come back open, so no
-// incident is ever stranded by a dead claimant. A missing file is an
-// empty queue, not an error.
+func appendFile(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Load restores the queue by replaying the journal (or a legacy
+// whole-store file): the last record per ID wins, and first appearance
+// keeps filing order. Incidents persisted mid-flight come back open,
+// so no incident is ever stranded by a dead claimant. A last record
+// without its newline that does not decode was torn by a crash
+// mid-append: it is dropped and logged. Any other record that does not
+// decode is an error, and the file is left as it was. Load then
+// compacts the journal to one record per incident (tmp + rename), which
+// also cuts off a torn tail before the next append could be glued onto
+// it. A missing file is an empty queue, not an error.
 func (st *Store) Load() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -403,24 +441,61 @@ func (st *Store) Load() error {
 		}
 		return err
 	}
-	var snap storeSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("incident: parse snapshot %s: %w", st.cfg.Path, err)
-	}
-	st.seq = snap.Seq
-	st.filed = snap.Filed
-	st.reopened = snap.Reopened
-	st.incidents = make(map[string]*Incident, len(snap.Incidents))
-	st.order = st.order[:0]
-	for i := range snap.Incidents {
-		inc := snap.Incidents[i]
-		if !inc.Status.Terminal() && inc.Status != StatusOpen {
-			inc.Status = StatusOpen
-			inc.Session = ""
-			inc.Leader = ""
+	incidents := map[string]*Incident{}
+	var order []string
+	var last journalRecord
+	for rest := data; len(rest) > 0; {
+		line, next, complete := bytes.Cut(rest, []byte{'\n'})
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			if complete {
+				return fmt.Errorf("incident: parse journal %s at byte %d: %w", st.cfg.Path, len(data)-len(rest), err)
+			}
+			log.Printf("incident: journal %s: dropped a torn last record (%d bytes)", st.cfg.Path, len(rest))
+			break
 		}
-		st.incidents[inc.ID] = &inc
-		st.order = append(st.order, inc.ID)
+		incs := rec.Incidents
+		if rec.Incident != nil {
+			incs = append(incs, *rec.Incident)
+		}
+		for i := range incs {
+			inc := incs[i]
+			if !inc.Status.Terminal() && inc.Status != StatusOpen {
+				inc.Status = StatusOpen
+				inc.Session = ""
+				inc.Leader = ""
+			}
+			if _, seen := incidents[inc.ID]; !seen {
+				order = append(order, inc.ID)
+			}
+			incidents[inc.ID] = &inc
+		}
+		last = rec
+		rest = next
+	}
+	st.seq, st.filed, st.reopened = last.Seq, last.Filed, last.Reopened
+	st.incidents, st.order = incidents, order
+	return st.compactLocked()
+}
+
+// compactLocked rewrites the journal atomically (tmp + rename) as one
+// record per incident in filing order, so a restart replays live state
+// only.
+func (st *Store) compactLocked() error {
+	var buf bytes.Buffer
+	for _, id := range st.order {
+		line, err := st.recordLocked(st.incidents[id])
+		if err != nil {
+			return fmt.Errorf("incident: compact %s: %w", st.cfg.Path, err)
+		}
+		buf.Write(line)
+	}
+	tmp := st.cfg.Path + ".tmp"
+	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+		return fmt.Errorf("incident: compact %s: %w", st.cfg.Path, err)
+	}
+	if err := os.Rename(tmp, st.cfg.Path); err != nil {
+		return fmt.Errorf("incident: compact %s: %w", st.cfg.Path, err)
 	}
 	return nil
 }
