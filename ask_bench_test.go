@@ -26,8 +26,9 @@ import (
 // exercises retrieval, evidence extraction and comparative reasoning.
 var askQuestion = quiz.Conclusions()[0].Question
 
-// trainedAskAgent returns a trained Bob built through the shared
-// trained-state cache, cloned so the benchmark cannot dirty the cache.
+// trainedAskAgent returns a trained Bob built through the process-wide
+// training memo; the agent owns its memory, so the benchmark cannot
+// dirty the memo.
 func trainedAskAgent(b *testing.B) *agent.Agent {
 	b.Helper()
 	bob, _, err := eval.TrainedBob(context.Background(), eval.DefaultSetup())

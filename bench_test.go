@@ -334,7 +334,7 @@ func BenchmarkE13Generalization(b *testing.B) {
 
 // BenchmarkE1ConclusionConsistencyParallel drives RunE1 from concurrent
 // goroutines with a pool-sized per-conclusion fan-out, exercising the
-// shared corpus/engine/trained-state caches under contention. Results
+// shared corpus/engine caches and training memo under contention. Results
 // are byte-identical to the serial benchmark for the same seed.
 func BenchmarkE1ConclusionConsistencyParallel(b *testing.B) {
 	ctx := context.Background()
@@ -413,6 +413,40 @@ func BenchmarkManagerGetHot(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkSessionCreateTrained is what a trained session costs to
+// bring up: Create, Train and Close on one manager. "miss" empties the
+// training memo before every iteration, so each Train runs the Auto-GPT
+// loop; "hit" replays the memoized training of the same role.
+func BenchmarkSessionCreateTrained(b *testing.B) {
+	ctx := context.Background()
+	for _, mode := range []string{"miss", "hit"} {
+		b.Run(mode, func(b *testing.B) {
+			evalcache.ResetSegmentCacheForTest()
+			b.Cleanup(evalcache.ResetSegmentCacheForTest)
+			m := session.NewManager(session.ManagerConfig{})
+			defer m.Shutdown()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if mode == "miss" {
+					evalcache.ResetSegmentCacheForTest()
+				}
+				id := fmt.Sprintf("trained-%d", i)
+				s, err := m.Create(id, benchSessionConfig)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Train(ctx); err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Close(ctx, id, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkHTTPAskParallel drives the full serving stack over real

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/agent"
 	"repro/internal/autogpt"
@@ -95,80 +94,27 @@ func NewBob(s Setup) (*agent.Agent, *websim.Engine, error) {
 	return session.NewAgent(s.sessionConfig())
 }
 
-// trained is one cached post-training knowledge state.
-type trained struct {
-	store  *memory.Store
-	report agent.TrainReport
-}
-
-var (
-	trainedMu    sync.Mutex
-	trainedCache = map[Setup]*trained{}
-)
-
-// trainedKey normalizes away the Setup fields that cannot affect
-// training. Train runs the Auto-GPT loop over the role goals, which
-// reads only the web options, the memory weights and the Runner config —
-// the investigation-phase knobs (threshold, rounds, knowledge window,
-// learn results) and the parallelism setting are irrelevant to it, so
-// setups differing only in those share one cached training run.
-func trainedKey(s Setup) Setup {
-	s.Workers = 0
-	s.AgentConfig.ConfidenceThreshold = 0
-	s.AgentConfig.MaxRounds = 0
-	s.AgentConfig.KnowledgeItems = 0
-	s.AgentConfig.LearnResults = 0
-	// Retrieval width changes only wall time, never the trained output
-	// (the pipeline commits in canonical order), so setups differing
-	// only in fan-out share one training run. The injected clock times
-	// simulated latency and is equally output-neutral — and interface
-	// values must not reach the comparable cache key anyway.
-	s.AgentConfig.RetrievalWorkers = 0
-	s.AgentConfig.Runner.RetrievalWorkers = 0
-	s.WebOptions.Clock = nil
-	return s
-}
-
 // trainedState returns the memory store and training report a fresh
-// Train produces under s, computing each distinct configuration at most
-// once per process. The returned store is the shared cache entry: it
-// must not be mutated — clone it (TrainedBob does).
+// Train produces under s. The training goes through the process-wide
+// memo sessions share (evalcache.TrainAgent, keyed on session.TrainKey),
+// so each distinct configuration runs the Auto-GPT loop once per process
+// while the memo holds it. The store is the caller's own.
 func trainedState(ctx context.Context, s Setup) (*memory.Store, agent.TrainReport, error) {
-	key := trainedKey(s)
-	trainedMu.Lock()
-	if t, ok := trainedCache[key]; ok {
-		trainedMu.Unlock()
-		return t.store, t.report, nil
-	}
-	trainedMu.Unlock()
 	bob, _, err := NewBob(s)
 	if err != nil {
 		return nil, agent.TrainReport{}, err
 	}
-	report, err := bob.Train(ctx)
+	report, err := evalcache.TrainAgent(ctx, session.TrainKey(s.sessionConfig()), bob)
 	if err != nil {
 		return nil, agent.TrainReport{}, fmt.Errorf("eval: train: %w", err)
 	}
-	// Train sealed the learned knowledge into a segment; intern it so
-	// every eval clone of this state — and any session runtime in the
-	// same process — shares one resident copy.
-	bob.Memory.InternSegments(evalcache.InternSegment)
-	trainedMu.Lock()
-	defer trainedMu.Unlock()
-	if t, ok := trainedCache[key]; ok {
-		// Another goroutine trained the same configuration concurrently;
-		// both results are identical (training is deterministic), keep
-		// the first so every caller shares one snapshot.
-		return t.store, t.report, nil
-	}
-	trainedCache[key] = &trained{store: bob.Memory, report: report}
 	return bob.Memory, report, nil
 }
 
 // TrainedBob builds and trains Bob. Training is deterministic per Setup,
 // so the post-training knowledge state is computed once per distinct
-// configuration and cloned for every caller; the returned agent owns its
-// snapshot and its own engine fork.
+// configuration (see trainedState); the returned agent owns its memory
+// and a fresh engine fork that training never touched.
 func TrainedBob(ctx context.Context, s Setup) (*agent.Agent, *websim.Engine, error) {
 	st, _, err := trainedState(ctx, s)
 	if err != nil {
@@ -178,7 +124,7 @@ func TrainedBob(ctx context.Context, s Setup) (*agent.Agent, *websim.Engine, err
 	if err != nil {
 		return nil, nil, err
 	}
-	bob.Memory = st.Clone()
+	bob.Memory = st
 	return bob, eng, nil
 }
 

@@ -16,6 +16,10 @@
 //     invisible to the base and to sibling forks — so experiments that
 //     mutate the web (drift, spam injection) still get isolation
 //     without paying for a rebuild.
+//   - InternSegment shares one resident copy of each trained memory
+//     segment, and TrainAgent memoizes whole role trainings (events,
+//     segments, report) for sessions and the eval harness alike, so an
+//     identical training replays instead of rerunning the Auto-GPT loop.
 //
 // Both caches key on the seed only because eval experiments all run over
 // world.Default; callers with bespoke worlds should build directly via
@@ -130,13 +134,23 @@ type SegmentCacheStats struct {
 	// find, an existing canonical segment.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
+	// TrainHits counts session trainings replayed from the training memo
+	// (see TrainOnce), TrainMisses those that ran the Auto-GPT loop, and
+	// TrainEntries is how many trainings the memo holds.
+	TrainHits    int64 `json:"train_hits"`
+	TrainMisses  int64 `json:"train_misses"`
+	TrainEntries int   `json:"train_entries"`
 }
 
-// SegmentStats returns a snapshot of the segment intern table.
+// SegmentStats returns a snapshot of the segment intern table and the
+// training memo that feeds it.
 func SegmentStats() SegmentCacheStats {
+	trainMu.Lock()
+	st := SegmentCacheStats{TrainHits: trainHits, TrainMisses: trainMisses, TrainEntries: trainLRU.Len()}
+	trainMu.Unlock()
 	segMu.Lock()
 	defer segMu.Unlock()
-	st := SegmentCacheStats{Segments: len(segments), Hits: segHits, Misses: segMisses}
+	st.Segments, st.Hits, st.Misses = len(segments), segHits, segMisses
 	for _, seg := range segments {
 		st.Items += seg.Len()
 		st.Refs += seg.Refs()
@@ -145,10 +159,18 @@ func SegmentStats() SegmentCacheStats {
 	return st
 }
 
-// ResetSegmentCacheForTest empties the segment intern table and its
-// counters. Tests that assert on interning behavior call this to isolate
-// themselves from segments interned by earlier tests in the process.
+// ResetSegmentCacheForTest empties the segment intern table, the
+// training memo and their counters. Tests that assert on interning
+// behavior call this to isolate themselves from segments interned by
+// earlier tests in the process. The two reset together: a memo hit
+// re-interns the segments it stored, and that must count as an intern
+// hit exactly as the training it replaces would.
 func ResetSegmentCacheForTest() {
+	trainMu.Lock()
+	trainByKey = map[string]*trainEntry{}
+	trainLRU.Init()
+	trainHits, trainMisses = 0, 0
+	trainMu.Unlock()
 	segMu.Lock()
 	defer segMu.Unlock()
 	segments = map[string]*memory.Segment{}

@@ -23,6 +23,10 @@
 package session
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+
 	"repro/internal/agent"
 	"repro/internal/evalcache"
 	"repro/internal/llm/backend"
@@ -75,6 +79,32 @@ func NewAgent(cfg Config) (*agent.Agent, *websim.Engine, error) {
 	eng := evalcache.Engine(cfg.Seed, cfg.WebOptions)
 	store := memory.NewStore(cfg.MemoryWeights)
 	return agent.New(cfg.Role, model, eng, store, cfg.AgentConfig), eng, nil
+}
+
+// TrainKey fingerprints every input of a role training under cfg, for
+// the process-wide training memo (evalcache.TrainAgent). Training reads
+// the role, the seed's web, the model and the Auto-GPT runner config,
+// so the key covers those plus the memory weights and the remaining web
+// options. It normalizes away what cannot change the result: an empty
+// model name (it means "sim"), web latency and clock (timing only), the
+// investigation-phase knobs (threshold, rounds, knowledge window, learn
+// results), and both retrieval widths (the pipeline commits in canonical
+// order).
+func TrainKey(cfg Config) string {
+	cfg = cfg.withDefaults()
+	if cfg.Model == "" {
+		cfg.Model = "sim"
+	}
+	cfg.WebOptions.Latency, cfg.WebOptions.Clock = 0, nil
+	ac := &cfg.AgentConfig
+	ac.ConfidenceThreshold, ac.MaxRounds, ac.KnowledgeItems, ac.LearnResults = 0, 0, 0, 0
+	ac.RetrievalWorkers, ac.Runner.RetrievalWorkers = 0, 0
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		return ""
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Fork clones proto onto a fresh copy-on-write engine fork for (seed,

@@ -192,26 +192,46 @@ func (s *Session) Tee(ctx context.Context, obs stream.Observer) error {
 }
 
 // Train runs the role goals through the autonomous loop (§3.2 steps
-// 1-3), populating the knowledge memory.
+// 1-3), populating the knowledge memory. A training that provably equals
+// one already run in this process (see trainKey) is replayed from the
+// process-wide memo instead: the same events reach the observer, the
+// same interned segment is attached and the same report is returned.
 func (s *Session) Train(ctx context.Context) (agent.TrainReport, error) {
 	if err := s.acquire(ctx); err != nil {
 		return agent.TrainReport{}, err
 	}
 	defer s.release()
 	s.emit(stream.Event{Type: stream.EventOp, Text: "train"})
-	rep, err := s.agent.Train(ctx)
+	rep, err := evalcache.TrainAgent(ctx, s.trainKey(), s.agent)
 	s.emitOutcome(err, stream.Event{Type: stream.EventDone, Text: "train"})
 	if err != nil {
 		return rep, err
 	}
-	// Training sealed the learned knowledge into a segment; swap it for
-	// the process-wide canonical copy so every session trained over the
-	// same (world, role, seed) shares one resident segment.
-	s.agent.Memory.InternSegments(evalcache.InternSegment)
 	s.st.Lock()
 	s.trained = true
 	s.st.Unlock()
 	return rep, nil
+}
+
+// trainKey is the session's training memo key, TrainKey of its config.
+// It is empty, bypassing the memo, unless a fresh training is provably
+// what a replay gives: a deterministic model (never "remote", whose
+// fallback and response cache make it impure), no injected web failures
+// (their positions follow the fork's request sequence, which a replay
+// does not advance), and an untrained session with empty memory.
+func (s *Session) trainKey() string {
+	switch s.cfg.Model {
+	case "", "sim", "ensemble":
+	default:
+		return ""
+	}
+	s.st.Lock()
+	trained := s.trained
+	s.st.Unlock()
+	if s.cfg.WebOptions.FailureRate != 0 || trained || s.agent.Memory.Len() != 0 {
+		return ""
+	}
+	return TrainKey(s.cfg)
 }
 
 // Ask answers a question from current knowledge only (no self-learning).

@@ -1,18 +1,26 @@
 #!/usr/bin/env bash
 # Benchmark sweeps: runs the session-runtime, ask-hot-path,
-# streaming/batching and retrieval-pipeline benchmark suites at -cpu 8
-# and records the results as BENCH_sessions.json, BENCH_ask.json,
-# BENCH_stream.json and BENCH_investigate.json in the repo root; the
-# footprint and incident-pipeline suites write BENCH_footprint.json and
+# streaming/batching and retrieval-pipeline benchmark suites and records
+# the results as BENCH_sessions.json, BENCH_ask.json, BENCH_stream.json
+# and BENCH_investigate.json in the repo root; the footprint and
+# incident-pipeline suites write BENCH_footprint.json and
 # BENCH_incidents.json themselves. Opt-in and separate from check.sh,
 # whose 1-iteration sweep only guards the harness against rot — this
 # script takes real measurements.
+#
+# Benchmarks run at -cpu $(nproc), `count` times each (-count 5); the
+# JSON reports the median ns/op with the min and max across runs, and
+# stamps the host: nproc, the GOMAXPROCS the benchmarks ran at (equal to
+# nproc) and the Go version.
 #
 # Usage: scripts/bench.sh [benchtime]   (default 2s)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${1:-2s}"
+nproc=$(nproc)
+count=5
+goversion=$(go env GOVERSION)
 
 # run_suite <suite-name> <bench-regex> <output-file>
 run_suite() {
@@ -20,18 +28,34 @@ run_suite() {
   local raw
   raw=$(mktemp)
   go test -run='^$' -bench="$pattern" \
-    -benchmem -cpu 8 -benchtime "$benchtime" . | tee "$raw"
-  awk -v suite="$suite" -v benchtime="$benchtime" '
+    -benchmem -cpu "$nproc" -count "$count" -benchtime "$benchtime" . | tee "$raw"
+  awk -v suite="$suite" -v benchtime="$benchtime" -v nproc="$nproc" \
+      -v goversion="$goversion" -v count="$count" '
+    # median, min and max of the space-separated numbers in list
+    function stats(list,   v, n, i, j, t) {
+      n = split(list, v, " ")
+      for (i = 2; i <= n; i++)
+        for (j = i; j > 1 && v[j-1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
+      smin = v[1]; smax = v[n]
+      smed = (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+    }
     /^Benchmark/ {
       name = $1; sub(/-[0-9]+$/, "", name)
-      res[name] = sprintf("{\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s}",
-                          name, $2, $3, $5, $7)
-      order[n++] = name
+      if (!(name in runs)) order[n++] = name
+      runs[name]++
+      ns[name] = ns[name] " " $3; by[name] = by[name] " " $5; al[name] = al[name] " " $7
     }
     /^cpu:/ { cpu = $0; sub(/^cpu: */, "", cpu) }
     END {
-      printf "{\n  \"suite\": \"%s\",\n  \"cpu\": \"%s\",\n  \"gomaxprocs\": 8,\n  \"benchtime\": \"%s\",\n  \"results\": [\n", suite, cpu, benchtime
-      for (i = 0; i < n; i++) printf "    %s%s\n", res[order[i]], (i < n - 1 ? "," : "")
+      printf "{\n  \"suite\": \"%s\",\n  \"cpu\": \"%s\",\n  \"nproc\": %d,\n  \"gomaxprocs\": %d,\n  \"go\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"count\": %d,\n  \"results\": [\n", suite, cpu, nproc, nproc, goversion, benchtime, count
+      for (i = 0; i < n; i++) {
+        name = order[i]
+        stats(by[name]); bytes = smed
+        stats(al[name]); allocs = smed
+        stats(ns[name])
+        printf "    {\"name\":\"%s\",\"runs\":%d,\"ns_per_op\":%s,\"ns_per_op_min\":%s,\"ns_per_op_max\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s}%s\n",
+               name, runs[name], smed, smin, smax, bytes, allocs, (i < n - 1 ? "," : "")
+      }
       print "  ]\n}"
     }
   ' "$raw" > "$out"
@@ -40,7 +64,7 @@ run_suite() {
 }
 
 run_suite sessions \
-  'BenchmarkManagerChurn|BenchmarkManagerGetHot|BenchmarkHTTPAskParallel' \
+  'BenchmarkManagerChurn|BenchmarkManagerGetHot|BenchmarkHTTPAskParallel|BenchmarkSessionCreateTrained' \
   BENCH_sessions.json
 
 run_suite ask \

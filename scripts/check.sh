@@ -40,6 +40,10 @@ go test -race -count=1 -run 'TestStream|TestEventBuffer' ./internal/session
 go test -race -count=1 -run 'TestOverlay|TestFreeze' ./internal/index
 go test -race -count=1 -run 'TestSealDelta|TestCloneShares|TestCloneVsAddRace|TestKnowledgeTextVsReplaceRace|TestKnowledgeTextNeverStale|TestReplaceItemsSanitizes|TestRestoreParts|TestIntern' ./internal/memory ./internal/evalcache
 go test -race -count=1 -run 'TestSnapshotV2|TestSnapshotRestoreColdProcess|TestSnapshotV1FileStillRestores|TestUntrainedSnapshotStaysV1|TestStatsReportSegments' ./internal/session
+# The training memo: hit-vs-miss byte identity, the bypass cases, the
+# one-miss-for-eight-concurrent-trainings singleflight and the eval
+# harness sharing the memo, repeated under the race detector.
+go test -race -count=5 -run 'TestTrainMemo|TestTrainOnce|TestTrainedBobShares' ./internal/session ./internal/evalcache ./internal/eval
 go test -count=1 -run 'TestFootprintReport' .
 
 # The retrieval pipeline: byte-identity of memory/events/investigation
